@@ -3,22 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "binpack/encoding.h"
-#include "kkt/kkt_rewriter.h"
-#include "kkt/parametric.h"
-#include "search/search.h"
-#include "util/stopwatch.h"
+#include "core/bilevel.h"
 
 namespace metaopt::binpack {
 
 namespace {
 
-using lp::LinExpr;
-using lp::Model;
-using lp::Var;
+using Vec = core::BilevelHooks::Vec;
 
 /// Clamps to the leader box and (for FFD) stably sorts the item blocks
 /// by decreasing key, the canonical representative the sortedness rows
@@ -78,145 +72,60 @@ std::vector<double> worst_case_family(const BinPackConfig& config) {
 
 heur::GapFindResult find_ffd_gap(const BinPackConfig& config,
                                  const heur::FindOptions& options) {
-  util::Stopwatch watch;
-  heur::GapFindResult result;
   const int n = config.items;
   const int d = config.dims;
   const double ub = config.ub();
 
-  Model model;
-  std::vector<Var> svars;
-  svars.reserve(static_cast<std::size_t>(n) * d);
-  for (int i = 0; i < n; ++i) {
-    for (int t = 0; t < d; ++t) {
-      const std::string name =
-          d == 1 ? "s[" + std::to_string(i) + "]"
-                 : "s[" + std::to_string(i) + "," + std::to_string(t) + "]";
-      svars.push_back(model.add_var(name, 0.0, ub));
-    }
+  core::BilevelProblem problem(core::Rewrite::Kkt, ub);
+  for (int k = 0; k < n * d; ++k) {  // item-major: s[i] or s[i,t]
+    const std::string item = std::to_string(k / d);
+    problem.add_leader(true, d == 1 ? "s[" + item + "]"
+                                    : "s[" + item + "," +
+                                          std::to_string(k % d) + "]");
   }
-  FfdEncoding enc =
-      build_ffd(model, svars, config, config.decreasing ? "ffd." : "ff.");
-  const kkt::KktArtifacts art = kkt::emit_kkt(model, enc.inner, "opt.");
-
+  FfdEncoding enc = build_ffd(problem.model, problem.leader, config,
+                              config.decreasing ? "ffd." : "ff.");
+  const lp::LinExpr opt = problem.add_follower(std::move(enc.inner), "opt.");
   // Embedded objective: FF bins minus the volume-LP OPT bound — an
-  // upper-bounding surrogate of the true gap (encoding.h). Incumbents
-  // get exact scores in the finalize step below.
-  model.set_objective(lp::ObjSense::Maximize,
-                      enc.bins_used - art.objective_expr);
-  result.stats = model.stats();
-
-  auto assemble_candidate = [&](std::vector<double> vols)
-      -> std::optional<std::pair<double, std::vector<double>>> {
-    vols = canonical_sizes(std::move(vols), config);
-    std::vector<double> assign(model.num_vars(), 0.0);
-    if (!complete_ffd_assignment(enc, vols, assign)) return std::nullopt;
-    const kkt::ParametricSolve ps =
-        kkt::solve_inner_at(enc.inner, model, assign);
-    if (!ps.ok()) return std::nullopt;
-    if (!kkt::assemble_kkt_point(model, enc.inner, art, ps, assign)) {
-      return std::nullopt;
-    }
-    return std::make_pair(model.objective_value(assign), std::move(assign));
+  // upper-bounding surrogate of the true gap (encoding.h). The rescore
+  // hook below replaces it with exact scores.
+  problem.set_gap(opt, enc.bins_used, lp::ObjSense::Minimize);
+  problem.normalizer = config.num_bins();
+  const BinPackGapOracle oracle(config);
+  // --certify turns certification on; otherwise the build default holds.
+  auto certified = [&](mip::MipOptions m) {
+    if (options.certify) m.certify = m.lp.certify = true;
+    return m;
   };
 
-  mip::MipCallbacks callbacks;
-  callbacks.primal_heuristic =
-      [&](const std::vector<double>& relax)
-      -> std::optional<std::pair<double, std::vector<double>>> {
-    std::vector<double> raw(static_cast<std::size_t>(n) * d, 0.0);
-    for (int k = 0; k < n * d; ++k) {
-      raw[k] = std::clamp(relax[svars[k].id], 0.0, ub);
-    }
-    auto best = assemble_candidate(raw);
-    // Fractional relaxation points usually land in the epsilon dead
-    // band; rounded variants snap out of it. Grid rounding keeps local
-    // structure, level snapping jumps to the §5 extremum levels.
+  core::BilevelHooks hooks;
+  hooks.lift = [&](Vec& x, Vec& assign) {
+    x = canonical_sizes(std::move(x), config);
+    return complete_ffd_assignment(enc, x, assign).has_value();
+  };
+  const std::vector<double> levels = quantize_levels(config);
+  // Fractional relaxation points usually land in the epsilon dead band;
+  // rounded variants snap out of it. Grid rounding keeps local
+  // structure, level snapping jumps to the §5 extremum levels.
+  hooks.roundings = [&](const Vec& raw) {
     const double grid = 0.01 * config.capacity;
-    std::vector<double> rounded = raw;
+    Vec rounded = raw;
     for (double& v : rounded) {
       v = std::clamp(std::round(v / grid) * grid, 0.0, ub);
     }
-    if (auto cand = assemble_candidate(rounded)) {
-      if (!best || cand->first > best->first) best = std::move(cand);
-    }
-    const std::vector<double> levels = quantize_levels(config);
-    std::vector<double> snapped = raw;
-    for (double& v : snapped) {
-      double pick = levels.front();
-      for (const double l : levels) {
-        if (std::abs(v - l) < std::abs(v - pick)) pick = l;
-      }
-      v = pick;
-    }
-    if (auto cand = assemble_candidate(snapped)) {
-      if (!best || cand->first > best->first) best = std::move(cand);
-    }
-    return best;
+    return std::vector<Vec>{std::move(rounded),
+                            core::snap_to_levels(raw, levels)};
   };
-  callbacks.on_incumbent = [&](double obj, double /*bnb_sec*/,
-                               const std::vector<double>&) {
-    result.trace.emplace_back(watch.seconds(), obj);
-  };
-
   // Seed candidates: the worst-case family, a quantized climb over the
   // packing-breakpoint levels, and a continuous polish. The family is
   // deterministic (a pure function of the config), so it rides along
-  // even when the wall-clock-budgeted black-box pass is disabled; the
-  // whole list survives to the finalize step as exact-rescore
-  // candidates.
-  std::vector<std::vector<double>> trials;
-  trials.push_back(worst_case_family(config));
-  if (options.seed_search_seconds > 0.0) {
-    const BinPackGapOracle oracle(config);
-    search::SearchOptions seed_options;
-    seed_options.time_limit_seconds = 0.6 * options.seed_search_seconds;
-    seed_options.demand_ub = ub;
-    seed_options.levels = quantize_levels(config);
-    const search::SearchResult seed =
-        search::quantized_climb(oracle, seed_options);
-    if (!seed.best_volumes.empty()) trials.push_back(seed.best_volumes);
-    search::SearchOptions polish_options;
-    polish_options.time_limit_seconds = 0.4 * options.seed_search_seconds;
-    polish_options.demand_ub = ub;
-    polish_options.initial_point = trials.back();
-    const search::SearchResult polished =
-        search::hill_climb(oracle, polish_options);
-    if (!polished.best_volumes.empty()) {
-      trials.push_back(polished.best_volumes);
-    }
-  }
-  {
-    std::optional<std::pair<double, std::vector<double>>> best;
-    for (const std::vector<double>& t : trials) {
-      if (auto cand = assemble_candidate(t)) {
-        if (!best || cand->first > best->first) best = std::move(cand);
-      }
-    }
-    if (best && best->first > 0.0) {
-      callbacks.initial_incumbents.push_back(std::move(*best));
-    }
-  }
+  // even when the wall-clock-budgeted black-box pass is disabled; every
+  // trial survives to the rescore as an exact-rescore candidate.
+  hooks.oracle = &oracle;
+  hooks.levels = levels;
+  hooks.quantized_share = 0.6;
+  hooks.fixed_trials = {worst_case_family(config)};
 
-  mip::MipOptions mip_options;
-  mip_options.threads = options.mip_threads;
-  mip_options.lp.pricing = options.pricing;
-  if (options.certify) {
-    mip_options.certify = true;
-    mip_options.lp.certify = true;
-  }
-  mip_options.time_limit_seconds =
-      std::max(1e-3, options.budget_seconds - watch.seconds());
-  const lp::Solution sol =
-      mip::BranchAndBound(mip_options).solve(model, callbacks);
-
-  result.status = sol.status;
-  result.nodes = sol.iterations;
-  result.bound = sol.best_bound;
-  result.certified = false;
-
-  // ---- finalize: exact re-score, argmax over every candidate --------
-  //
   // The embedded objective is an upper-bounding surrogate (volume-LP
   // OPT), and its maximizer can have a SMALLER true gap than a point it
   // dominates: n items just over C/2 score bins - volume ~ n/2 in the
@@ -225,57 +134,49 @@ heur::GapFindResult find_ffd_gap(const BinPackConfig& config,
   // So the reported answer is the argmax of the exact gap (simulated
   // first-fit + assignment-MIP OPT) over the B&B incumbent AND the seed
   // trials; the surrogate decides nothing beyond the B&B's own pruning.
-  std::vector<std::vector<double>> candidates;
-  if (sol.has_solution() && !sol.values.empty()) {
-    std::vector<double> sizes(static_cast<std::size_t>(n) * d, 0.0);
-    for (int k = 0; k < n * d; ++k) {
-      sizes[k] = std::clamp(sol.values[svars[k].id], 0.0, ub);
+  hooks.rescore = [&](const std::vector<Vec>& trials,
+                      heur::GapFindResult& result) {
+    std::vector<Vec> candidates;
+    if (result.has_solution()) candidates.push_back(result.volumes);
+    for (const Vec& t : trials) {
+      candidates.push_back(canonical_sizes(t, config));
     }
-    candidates.push_back(std::move(sizes));
-  }
-  for (const std::vector<double>& t : trials) {
-    candidates.push_back(canonical_sizes(t, config));
-  }
+    const mip::MipOptions opt_mip = certified(default_opt_mip());
+    result.certified = false;
+    bool have_exact = false;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      if (std::find(candidates.begin(), candidates.begin() + c,
+                    candidates[c]) != candidates.begin() + c) {
+        continue;  // duplicate; keep one OPT re-solve per distinct point
+      }
+      const FirstFitResult ff = simulate_first_fit(candidates[c], config);
+      if (!ff.feasible) continue;
+      const OptBinResult opt_bins =
+          solve_opt_bins(candidates[c], config, opt_mip);
+      if (opt_bins.status != lp::SolveStatus::Optimal) continue;
+      const double gap = static_cast<double>(ff.bins_used - opt_bins.bins_used);
+      // Strict improvement only: ties keep the earliest candidate (the
+      // B&B incumbent when it has one), so reruns stay deterministic.
+      if (have_exact && gap <= result.gap) continue;
+      have_exact = true;
+      result.volumes = candidates[c];
+      result.gap = gap;
+      result.heur_value = ff.bins_used;
+      result.opt_value = opt_bins.bins_used;
+      result.certified = opt_bins.certified;
+    }
+    if (!have_exact && result.has_solution()) {
+      // No OPT re-solve finished inside its budget: keep the surrogate
+      // values for the B&B incumbent rather than report nothing.
+      result.heur_value = simulate_first_fit(result.volumes, config).bins_used;
+    }
+  };
 
-  mip::MipOptions opt_mip = default_opt_mip();
-  if (options.certify) {
-    opt_mip.certify = true;
-    opt_mip.lp.certify = true;
-  }
-  bool have_exact = false;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    if (std::find(candidates.begin(), candidates.begin() + c,
-                  candidates[c]) != candidates.begin() + c) {
-      continue;  // duplicate; keep one OPT re-solve per distinct point
-    }
-    const FirstFitResult ff = simulate_first_fit(candidates[c], config);
-    if (!ff.feasible) continue;
-    const OptBinResult opt = solve_opt_bins(candidates[c], config, opt_mip);
-    if (opt.status != lp::SolveStatus::Optimal) continue;
-    const double gap = static_cast<double>(ff.bins_used - opt.bins_used);
-    // Strict improvement only: ties keep the earliest candidate (the
-    // B&B incumbent when it has one), so reruns stay deterministic.
-    if (have_exact && gap <= result.gap) continue;
-    have_exact = true;
-    result.volumes = candidates[c];
-    result.gap = gap;
-    result.heur_value = ff.bins_used;
-    result.opt_value = opt.bins_used;
-    result.certified = opt.certified;
-  }
-  if (!have_exact && !candidates.empty() && sol.has_solution() &&
-      !sol.values.empty()) {
-    // No OPT re-solve finished inside its budget: fall back to the
-    // surrogate values for the B&B incumbent rather than report nothing.
-    result.volumes = candidates.front();
-    result.gap = sol.objective;
-    result.opt_value = model.eval(art.objective_expr, sol.values);
-    result.heur_value =
-        simulate_first_fit(candidates.front(), config).bins_used;
-  }
-  result.normalized_gap = result.gap / config.num_bins();
-  result.seconds = watch.seconds();
-  return result;
+  mip::MipOptions mip = certified({});
+  mip.threads = options.mip_threads;
+  mip.lp.pricing = options.pricing;
+  mip.time_limit_seconds = options.budget_seconds;
+  return core::solve_bilevel(problem, hooks, mip, options.seed_search_seconds);
 }
 
 }  // namespace metaopt::binpack

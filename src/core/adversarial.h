@@ -13,11 +13,15 @@
 // POP support follows §3.2: the heuristic objective is the empirical
 // mean of several partition instantiations (or, via
 // core/sorting_network.h, a sorting-network tail percentile).
+//
+// The find pipeline itself is core/bilevel.h; this layer supplies the
+// TE leader, the follower encodings and the family hooks.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/bilevel.h"
 #include "core/input_constraints.h"
 #include "core/sorting_network.h"
 #include "heur/instance.h"
@@ -112,6 +116,56 @@ class AdversarialGapFinder {
  private:
   const net::Topology& topo_;
   const te::PathSet& paths_;
+};
+
+/// Traffic-engineering leader and follower encoders. One builder for
+/// every TE model: the finds rewrite each follower with Rewrite::Kkt,
+/// GapBounder with Rewrite::PrimalDual, and the Fig. 6 size accounting
+/// with Rewrite::Materialize, so all three see the same leader, the same
+/// encodings and the same variable order.
+class TeBilevel {
+ public:
+  /// Builds the leader: d[k] in [0, ub] for every pair that has a path
+  /// and is inside options.pair_mask. Throws std::invalid_argument when
+  /// a non-empty pair_mask does not have one entry per pair.
+  TeBilevel(const net::Topology& topo, const te::PathSet& paths,
+            const AdversarialOptions& options, Rewrite rewrite);
+
+  /// OPT follower (max flow over the leader demands); returns its optimum.
+  lp::LinExpr add_opt();
+  /// Demand Pinning follower; fills config.demand_ub's default (the
+  /// leader box) in place and returns the follower's optimum.
+  lp::LinExpr add_dp(te::DpConfig& config, te::DpEncoding* enc = nullptr);
+  /// One POP instantiation per seed, each partition a follower; returns
+  /// the mean total flow over the instantiations (§3.2).
+  lp::LinExpr add_pop(const te::PopConfig& config,
+                      const std::vector<std::uint64_t>& seeds,
+                      std::vector<te::PopEncoding>* encs = nullptr);
+  /// POP with client splitting (Appendix A), same shape as add_pop.
+  lp::LinExpr add_pop_cs(const te::PopConfig& config,
+                         const te::ClientSplitConfig& cs_config,
+                         const std::vector<std::uint64_t>& seeds,
+                         std::vector<te::PopCsEncoding>* encs = nullptr);
+
+  /// Applies the input constraints (§3.3) and sets the objective
+  /// maximize opt - heur.
+  void constrain(lp::LinExpr opt, lp::LinExpr heur);
+  /// Lift step shared by the TE finds: the input-constraint auxiliaries
+  /// at leader vector `x`; false when x is outside the constrained set.
+  bool complete(const std::vector<double>& x,
+                std::vector<double>& assign) const;
+
+  /// Runs the find with the TE budgets from the options.
+  [[nodiscard]] AdversarialResult solve(const BilevelHooks& hooks) const;
+
+  BilevelProblem problem;
+
+ private:
+  const net::Topology& topo_;
+  const te::PathSet& paths_;
+  const AdversarialOptions& options_;
+  std::vector<lp::LinExpr> demand_;  ///< leader as expressions (0 if out)
+  ConstraintArtifacts constraints_;
 };
 
 }  // namespace metaopt::core

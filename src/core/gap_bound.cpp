@@ -1,62 +1,24 @@
 #include "core/gap_bound.h"
 
-#include "kkt/primal_dual.h"
-#include "te/max_flow.h"
-#include "util/stopwatch.h"
-
 namespace metaopt::core {
 
 namespace {
 
-using lp::LinExpr;
-using lp::Model;
-using lp::Var;
-
-/// Demand variables for the bounding model (mirrors adversarial.cpp's
-/// helper; kept local to avoid exposing the internal struct).
-struct BoundDemand {
-  std::vector<Var> vars;
-  std::vector<LinExpr> exprs;
-  std::vector<bool> include;
-  double ub = 0.0;
-};
-
-BoundDemand make_demand(Model& model, const net::Topology& topo,
-                        const te::PathSet& paths,
-                        const AdversarialOptions& options) {
-  BoundDemand d;
-  d.ub = options.demand_ub > 0.0 ? options.demand_ub : topo.max_capacity();
-  d.vars.assign(paths.num_pairs(), Var{});
-  d.include.assign(paths.num_pairs(), false);
-  for (int k = 0; k < paths.num_pairs(); ++k) {
-    const bool in = !paths.paths(k).empty() &&
-                    (options.pair_mask.empty() || options.pair_mask[k]);
-    d.include[k] = in;
-    if (in) {
-      d.vars[k] = model.add_var("d[" + std::to_string(k) + "]", 0.0, d.ub);
-      d.exprs.emplace_back(d.vars[k]);
-    } else {
-      d.exprs.emplace_back(0.0);
-    }
-  }
-  return d;
-}
-
-GapBoundResult finish(Model& model, const net::Topology& topo,
-                      const AdversarialOptions& options,
-                      util::Stopwatch& watch) {
+GapBoundResult finish(TeBilevel& te, lp::LinExpr opt, lp::LinExpr heur,
+                      const AdversarialOptions& options) {
+  te.constrain(std::move(opt), std::move(heur));
   GapBoundResult result;
-  result.stats = model.stats();
-  mip::MipOptions mip = options.mip;
-  const lp::Solution sol = mip::BranchAndBound(mip).solve(model);
+  result.stats = te.problem.model.stats();
+  const lp::Solution sol =
+      mip::BranchAndBound(options.mip).solve(te.problem.model);
   result.status = sol.status;
   // best_bound is the proven bound even when stopped early; for proven
   // Optimal it equals the objective.
   result.upper_bound =
       sol.status == lp::SolveStatus::Optimal ? sol.objective : sol.best_bound;
-  result.normalized_upper_bound = result.upper_bound / topo.total_capacity();
+  result.normalized_upper_bound = result.upper_bound / te.problem.normalizer;
   result.certified = sol.certified;
-  result.seconds = watch.seconds();
+  result.seconds = te.problem.watch.seconds();
   return result;
 }
 
@@ -64,65 +26,20 @@ GapBoundResult finish(Model& model, const net::Topology& topo,
 
 GapBoundResult GapBounder::bound_dp_gap(
     const te::DpConfig& config, const AdversarialOptions& options) const {
-  util::Stopwatch watch;
-  Model model;
-  BoundDemand d = make_demand(model, topo_, paths_, options);
-
-  te::DpConfig dp_config = config;
-  if (dp_config.demand_ub <= 0.0) dp_config.demand_ub = d.ub;
-
-  te::MaxFlowOptions opt_options;
-  opt_options.include = &d.include;
-  te::FlowEncoding opt_enc =
-      te::build_max_flow(model, topo_, paths_, d.exprs, "opt.", opt_options);
-  const kkt::PrimalDualArtifacts opt_art =
-      kkt::emit_primal_dual(model, opt_enc.inner, "opt.");
-
-  te::DpEncoding dp_enc = te::build_demand_pinning(
-      model, topo_, paths_, d.vars, dp_config, "dp.", &d.include);
-  const kkt::PrimalDualArtifacts dp_art =
-      kkt::emit_primal_dual(model, dp_enc.inner, "dp.");
-
-  apply_input_constraints(model, d.vars, options.constraints, d.ub);
-  model.set_objective(lp::ObjSense::Maximize,
-                      opt_art.objective_expr - dp_art.objective_expr);
-  return finish(model, topo_, options, watch);
+  TeBilevel te(topo_, paths_, options, Rewrite::PrimalDual);
+  te::DpConfig dp = config;
+  lp::LinExpr opt = te.add_opt();
+  lp::LinExpr heur = te.add_dp(dp);
+  return finish(te, std::move(opt), std::move(heur), options);
 }
 
 GapBoundResult GapBounder::bound_pop_gap(
     const te::PopConfig& config, const std::vector<std::uint64_t>& seeds,
     const AdversarialOptions& options) const {
-  util::Stopwatch watch;
-  Model model;
-  BoundDemand d = make_demand(model, topo_, paths_, options);
-
-  te::MaxFlowOptions opt_options;
-  opt_options.include = &d.include;
-  te::FlowEncoding opt_enc =
-      te::build_max_flow(model, topo_, paths_, d.exprs, "opt.", opt_options);
-  const kkt::PrimalDualArtifacts opt_art =
-      kkt::emit_primal_dual(model, opt_enc.inner, "opt.");
-
-  LinExpr heur_mean;
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    te::PopConfig inst_config = config;
-    inst_config.seed = seeds[r];
-    te::PopEncoding enc = te::build_pop(model, topo_, paths_, d.exprs,
-                                        inst_config,
-                                        "pop" + std::to_string(r) + ".");
-    for (std::size_t part = 0; part < enc.partitions.size(); ++part) {
-      kkt::emit_primal_dual(model, enc.partitions[part].inner,
-                            "pop" + std::to_string(r) + "." +
-                                std::to_string(part) + ".");
-    }
-    heur_mean +=
-        (1.0 / static_cast<double>(seeds.size())) * enc.total_flow;
-  }
-
-  apply_input_constraints(model, d.vars, options.constraints, d.ub);
-  model.set_objective(lp::ObjSense::Maximize,
-                      opt_art.objective_expr - heur_mean);
-  return finish(model, topo_, options, watch);
+  TeBilevel te(topo_, paths_, options, Rewrite::PrimalDual);
+  lp::LinExpr opt = te.add_opt();
+  lp::LinExpr heur = te.add_pop(config, seeds);
+  return finish(te, std::move(opt), std::move(heur), options);
 }
 
 }  // namespace metaopt::core

@@ -30,12 +30,6 @@ void register_heuristic(const std::string& name, InstanceFactory factory) {
   r.factories[name] = std::move(factory);
 }
 
-bool is_registered(const std::string& name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  return r.factories.count(name) > 0;
-}
-
 std::vector<std::string> registered_heuristics() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mutex);

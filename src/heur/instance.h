@@ -34,7 +34,7 @@ struct FindOptions {
   /// Independently certify the incumbent (check::certify_mip) and any
   /// direct re-solves backing the reported gap.
   bool certify = false;
-  /// B&B worker threads (clamped to 1 inside a parallel sweep pool).
+  /// B&B worker threads, drawn from the shared scheduler.
   int mip_threads = 1;
   /// Entering-variable pricing rule for the node LPs (CLI: --pricing).
   lp::Pricing pricing = lp::Pricing::Partial;
@@ -229,9 +229,6 @@ using InstanceFactory =
 
 /// Registers (or replaces) a factory under `name`. Thread-safe.
 void register_heuristic(const std::string& name, InstanceFactory factory);
-
-/// True when `name` has a registered factory.
-[[nodiscard]] bool is_registered(const std::string& name);
 
 /// Registered names, sorted (error messages, --help listings).
 [[nodiscard]] std::vector<std::string> registered_heuristics();

@@ -61,14 +61,6 @@ enum class VarStatus : std::uint8_t {
 /// from it on demand.
 struct Basis {
   std::vector<VarStatus> status;
-
-  [[nodiscard]] int num_basic() const {
-    int count = 0;
-    for (const VarStatus s : status) {
-      if (s == VarStatus::Basic) ++count;
-    }
-    return count;
-  }
 };
 
 /// Which factorization backs a BasisFactor.

@@ -8,7 +8,6 @@
 // complementarity pairs.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -107,9 +106,6 @@ class Model {
   [[nodiscard]] bool has_quadratic_objective() const {
     return !quad_obj_.empty();
   }
-
-  /// Looks a variable up by name (linear scan; for tests/tools).
-  [[nodiscard]] std::optional<Var> find_var(const std::string& name) const;
 
   // ---- evaluation / checking ----
 

@@ -41,9 +41,6 @@ struct Solution {
   /// certification enabled (SimplexOptions::certify / MipOptions::certify).
   bool certified = false;
 
-  [[nodiscard]] bool is_optimal() const {
-    return status == SolveStatus::Optimal;
-  }
   [[nodiscard]] bool has_solution() const {
     return status == SolveStatus::Optimal || status == SolveStatus::Feasible ||
            status == SolveStatus::IterationLimit ||

@@ -176,7 +176,7 @@ class TreeSearch {
 
  private:
   // ---- worker protocol ----
-  void worker_main(std::uint64_t obs_group, int threads);
+  void worker_main(std::uint64_t obs_group);
   void worker_loop();
   void process_node(const QueueEntry& entry, WorkerState& ws);
   /// First caller wins; wakes every waiter. Safe from any thread.
@@ -622,14 +622,13 @@ void TreeSearch::worker_loop() {
   h_worker_nodes.observe(static_cast<std::uint64_t>(ws.nodes));
 }
 
-void TreeSearch::worker_main(std::uint64_t obs_group, int threads) {
+void TreeSearch::worker_main(std::uint64_t obs_group) {
   // Helpers can land on persistent scheduler workers, so the spawner's
   // obs shard group is adopted with a *fresh* shard (ScopedWorkerShard):
   // per-job metric attribution (SweepRunner) sees their counts without
   // the worker's history bleeding into the job's snapshot diff. A no-op
   // on the spawning thread itself, which is already in the group.
   const obs::ScopedWorkerShard shard(obs_group);
-  const util::ScopedParallelWorker region(threads);
   try {
     worker_loop();
   } catch (...) {
@@ -677,13 +676,13 @@ Solution TreeSearch::run(int threads) {
     helpers.reserve(static_cast<std::size_t>(threads - 1));
     for (int w = 1; w < threads; ++w) {
       helpers.push_back(sched.submit(
-          [this, obs_group, threads] { worker_main(obs_group, threads); },
+          [this, obs_group] { worker_main(obs_group); },
           helper_depth));
     }
-    worker_main(obs_group, threads);
+    worker_main(obs_group);
     for (const runner::TaskHandle& h : helpers) sched.join(h);
   } else {
-    // Serial fast path: same worker code, no region marker to maintain.
+    // Serial fast path: same worker code, no helper tasks to join.
     try {
       worker_loop();
     } catch (...) {
@@ -763,13 +762,10 @@ Solution BranchAndBound::solve(const Model& model,
     }
   }
 
-  // No oversubscription clamp anymore: helper workers come from the
+  // No oversubscription clamp: helper workers come from the
   // process-wide scheduler, whose size is the max of every component's
   // request — running inside a sweep worker adds zero threads beyond
-  // max(sweep width, mip threads). (The old clamp forced threads = 1
-  // inside any parallel region, and silently failed to fire when a job
-  // body moved the solve to a helper thread the region marker never
-  // reached; the shared pool bounds those paths structurally.)
+  // max(sweep width, mip threads).
   const int threads = std::max(1, options_.threads);
   g_threads.set(static_cast<double>(threads));
 

@@ -78,10 +78,8 @@ struct MipOptions {
   /// to proven optimality: every node LP is a pure function of (node
   /// box, hint basis), so the tree — and the certified optimal objective
   /// — is bit-identical for any N; only exploration order, node counts
-  /// and early-stop paths may differ. Clamped to 1 (with a log line)
-  /// when the solve is already running inside a parallel region wider
-  /// than one thread (e.g. a SweepRunner job), so sweep x B&B threads
-  /// never oversubscribe the machine.
+  /// and early-stop paths may differ. Helpers come from the shared
+  /// scheduler, so a B&B inside a sweep job never oversubscribes.
   int threads = 1;
   lp::SimplexOptions lp;
 };

@@ -20,10 +20,6 @@ std::vector<NodeId> Path::nodes(const Topology& topo) const {
   return out;
 }
 
-bool Path::uses_edge(EdgeId e) const {
-  return std::find(edges.begin(), edges.end(), e) != edges.end();
-}
-
 std::optional<Path> shortest_path(const Topology& topo, NodeId s, NodeId t,
                                   const std::vector<bool>* banned_edges,
                                   const std::vector<bool>* banned_nodes) {

@@ -231,18 +231,8 @@ std::uint64_t current_group() {
   return detail::tls_block().group.load(std::memory_order_relaxed);
 }
 
-void adopt_shard_group(std::uint64_t id) {
-  detail::tls_block().group.store(id, std::memory_order_relaxed);
-}
-
 ScopedShardGroup::ScopedShardGroup()
     : id_(detail::g_next_group.fetch_add(1, std::memory_order_relaxed)) {
-  std::atomic<std::uint64_t>& tag = detail::tls_block().group;
-  prev_ = tag.load(std::memory_order_relaxed);
-  tag.store(id_, std::memory_order_relaxed);
-}
-
-ScopedShardGroup::ScopedShardGroup(std::uint64_t adopt) : id_(adopt) {
   std::atomic<std::uint64_t>& tag = detail::tls_block().group;
   prev_ = tag.load(std::memory_order_relaxed);
   tag.store(id_, std::memory_order_relaxed);

@@ -149,7 +149,6 @@ void Scheduler::execute(detail::SchedTask& task) {
   h_task_depth.observe(static_cast<std::uint64_t>(std::max(0, task.depth)));
   {
     const util::ScopedTaskDepth depth(task.depth);
-    const util::ScopedParallelWorker region(num_threads());
     task.fn();
   }
   task.fn = nullptr;  // release captured state before signalling done

@@ -126,7 +126,7 @@ class Scheduler {
 
   void worker_loop(int self);
   TaskHandle try_pop(int self);
-  /// Runs an already-claimed task: depth + region markers, fn, done.
+  /// Runs an already-claimed task: depth marker, fn, done.
   void execute(detail::SchedTask& task);
 
   /// Fixed-capacity slot array so thieves can scan concurrently with

@@ -199,6 +199,7 @@ SearchResult quantized_climb(const heur::GapOracle& oracle,
         const double original = d[k];
         for (double level : levels) {
           if (level == original) continue;
+          if (!tracker.budget_left()) break;
           d[k] = level;
           const double gap_aux = tracker.evaluate(d);
           if (gap_aux > gap_d) {

@@ -75,8 +75,4 @@ SearchResult random_search(const heur::GapOracle& oracle,
 SearchResult quantized_climb(const heur::GapOracle& oracle,
                              const SearchOptions& options);
 
-/// The index-mask oracle wrapper now lives in heur/gap.h; this alias
-/// keeps long-standing search:: call sites compiling.
-using MaskedGapOracle = heur::MaskedGapOracle;
-
 }  // namespace metaopt::search

@@ -1,7 +1,6 @@
 #include "te/demand.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace metaopt::te {
 
@@ -16,19 +15,6 @@ std::vector<std::pair<net::NodeId, net::NodeId>> all_pairs(
     }
   }
   return pairs;
-}
-
-std::vector<Demand> make_demands(
-    const std::vector<std::pair<net::NodeId, net::NodeId>>& pairs,
-    const std::vector<double>& volumes) {
-  if (pairs.size() != volumes.size()) {
-    throw std::invalid_argument("make_demands: size mismatch");
-  }
-  std::vector<Demand> out(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    out[i] = Demand{pairs[i].first, pairs[i].second, volumes[i]};
-  }
-  return out;
 }
 
 std::vector<double> volumes_of(const std::vector<Demand>& demands) {

@@ -21,11 +21,6 @@ struct Demand {
 std::vector<std::pair<net::NodeId, net::NodeId>> all_pairs(
     const net::Topology& topo);
 
-/// Builds demands from parallel pair/volume arrays.
-std::vector<Demand> make_demands(
-    const std::vector<std::pair<net::NodeId, net::NodeId>>& pairs,
-    const std::vector<double>& volumes);
-
 /// Extracts volumes in pair order.
 std::vector<double> volumes_of(const std::vector<Demand>& demands);
 

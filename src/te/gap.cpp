@@ -64,4 +64,29 @@ std::vector<double> PopGapOracle::per_instance_heur(
   return values;
 }
 
+GapResult PopCsGapOracle::evaluate(const std::vector<double>& volumes) const {
+  count_evaluation();
+  GapResult result;
+  const MaxFlowResult opt = solve_max_flow(topo_, paths_, volumes);
+  if (opt.status != lp::SolveStatus::Optimal) {
+    result.status = opt.status;
+    return result;
+  }
+  result.opt = opt.total_flow;
+  for (const std::uint64_t seed : seeds_) {
+    PopConfig config = config_;
+    config.seed = seed;
+    const PopResult pop =
+        solve_pop_cs(topo_, paths_, volumes, config, cs_config_);
+    if (pop.status != lp::SolveStatus::Optimal) {
+      result.status = pop.status;
+      return result;
+    }
+    result.heur += pop.total_flow / static_cast<double>(seeds_.size());
+  }
+  result.heuristic_feasible = true;
+  result.status = lp::SolveStatus::Optimal;
+  return result;
+}
+
 }  // namespace metaopt::te

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "heur/gap.h"
+#include "te/client_split.h"
 #include "te/demand_pinning.h"
 #include "te/max_flow.h"
 #include "te/pop.h"
@@ -75,6 +76,30 @@ class PopGapOracle final : public GapOracle {
   const net::Topology& topo_;
   const PathSet& paths_;
   PopConfig config_;
+  std::vector<std::uint64_t> seeds_;
+};
+
+/// OPT vs POP with client splitting (Appendix A), averaged over the
+/// instantiation seeds like PopGapOracle.
+class PopCsGapOracle final : public GapOracle {
+ public:
+  PopCsGapOracle(const net::Topology& topo, const PathSet& paths,
+                 PopConfig config, ClientSplitConfig cs_config,
+                 std::vector<std::uint64_t> seeds)
+      : topo_(topo), paths_(paths), config_(config), cs_config_(cs_config),
+        seeds_(std::move(seeds)) {}
+
+  [[nodiscard]] int num_leader_vars() const override {
+    return paths_.num_pairs();
+  }
+  [[nodiscard]] GapResult evaluate(
+      const std::vector<double>& volumes) const override;
+
+ private:
+  const net::Topology& topo_;
+  const PathSet& paths_;
+  PopConfig config_;
+  ClientSplitConfig cs_config_;
   std::vector<std::uint64_t> seeds_;
 };
 

@@ -1,24 +1,15 @@
 // Process-wide awareness of nested parallelism.
 //
-// Two thread-local markers cooperate here:
+// task_depth() is the nesting depth of the scheduler task this thread is
+// currently executing (-1 when it is not running a scheduler task at
+// all). Submitters tag child tasks with task_depth() + 1, so an outer
+// sweep job runs at depth 0 and the B&B helpers it spawns run at depth
+// 1. The scheduler uses the tag for its per-depth execution histogram,
+// and — crucially — the tag travels with the *task*, not the thread, so
+// work handed to a helper thread keeps its place in the nesting no
+// matter which worker picks it up.
 //
-//   * parallel_region_width() — the width of the worker pool this thread
-//     belongs to. Informational: components log it and tests assert on
-//     it. (It used to drive a clamp that forced a nested B&B serial
-//     inside a sweep; the shared work-stealing scheduler made the clamp
-//     obsolete — total workers are bounded by the largest
-//     ensure_threads() request, never by a product of nested widths.)
-//
-//   * task_depth() — the nesting depth of the scheduler task this thread
-//     is currently executing (-1 when it is not running a scheduler task
-//     at all). Submitters tag child tasks with task_depth() + 1, so an
-//     outer sweep job runs at depth 0 and the B&B helpers it spawns run
-//     at depth 1. The scheduler uses the tag for its per-depth execution
-//     histogram, and — crucially — the tag travels with the *task*, not
-//     the thread, so work handed to a helper thread keeps its place in
-//     the nesting no matter which worker picks it up.
-//
-// Both markers are plain thread_locals — no atomics, no registry —
+// The marker is a plain thread_local — no atomics, no registry —
 // because the question is always about *this* thread, never a
 // cross-thread query.
 #pragma once
@@ -26,39 +17,14 @@
 namespace metaopt::util {
 
 namespace detail {
-inline thread_local int t_parallel_region_width = 0;
 inline thread_local int t_task_depth = -1;
 }  // namespace detail
-
-/// Width of the innermost parallel region this thread is a worker of
-/// (0 when the thread is not a marked worker at all).
-inline int parallel_region_width() {
-  return detail::t_parallel_region_width;
-}
 
 /// Nesting depth of the scheduler task this thread is executing, or -1
 /// when the thread is not inside a scheduler task. Submit children at
 /// `task_depth() + 1`: -1 + 1 == 0 makes external submissions depth 0
 /// without a special case.
 inline int task_depth() { return detail::t_task_depth; }
-
-/// RAII marker: declares the current thread a worker of a parallel
-/// region of `width` sibling threads for the scope's lifetime. Nests:
-/// the previous width is restored on destruction.
-class ScopedParallelWorker {
- public:
-  explicit ScopedParallelWorker(int width)
-      : prev_(detail::t_parallel_region_width) {
-    detail::t_parallel_region_width = width;
-  }
-  ~ScopedParallelWorker() { detail::t_parallel_region_width = prev_; }
-
-  ScopedParallelWorker(const ScopedParallelWorker&) = delete;
-  ScopedParallelWorker& operator=(const ScopedParallelWorker&) = delete;
-
- private:
-  int prev_;
-};
 
 /// RAII marker: the current thread is executing a scheduler task at
 /// `depth` for the scope's lifetime. Nests (inline joins run a child

@@ -37,6 +37,4 @@ bool Rng::bernoulli(double p) {
   return dist(engine_);
 }
 
-Rng Rng::fork() { return Rng(engine_()); }
-
 }  // namespace metaopt::util

@@ -48,9 +48,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child RNG (for per-instance streams).
-  Rng fork();
-
   /// Direct access for std:: distributions.
   std::mt19937_64& engine() { return engine_; }
 

@@ -37,9 +37,6 @@ class Stopwatch {
     return static_cast<double>(elapsed_ns()) * 1e-9;
   }
 
-  /// Milliseconds elapsed since construction or the last reset().
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   std::uint64_t start_ns_;

@@ -25,10 +25,6 @@ std::string format_double(double value, int max_decimals) {
   return s;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::vector<std::string> split(const std::string& s, char delim) {
   std::vector<std::string> out;
   std::string cur;

@@ -13,9 +13,6 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 /// ("12.5", "3", "0.0001").
 std::string format_double(double value, int max_decimals = 6);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
 /// Splits on a single character delimiter; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adversarial.h"
+#include "core/gap_bound.h"
 #include "core/input_constraints.h"
 #include "search/search.h"
 #include "lp/simplex.h"
@@ -95,6 +96,21 @@ TEST(AdversarialDp, PairMaskRestrictsSupport) {
       EXPECT_NEAR(r.volumes[k], 0.0, 1e-9) << "pair " << k;
     }
   }
+}
+
+TEST(AdversarialDp, ShortPairMaskThrows) {
+  // A mask one entry short must be rejected, not read past its end, by
+  // the leader builder that finds and bounds share.
+  const Topology topo = topologies::fig1();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  AdversarialOptions options = quick_options(5.0, 0.0);
+  options.pair_mask.assign(paths.num_pairs() - 1, true);
+  EXPECT_THROW((void)AdversarialGapFinder(topo, paths).find_dp_gap(dp, options),
+               std::invalid_argument);
+  EXPECT_THROW((void)GapBounder(topo, paths).bound_dp_gap(dp, options),
+               std::invalid_argument);
 }
 
 TEST(AdversarialDp, HigherThresholdFindsLargerGap) {

@@ -12,6 +12,7 @@
 namespace metaopt::search {
 namespace {
 
+using heur::MaskedGapOracle;
 using net::Topology;
 namespace topologies = net::topologies;
 
@@ -87,6 +88,33 @@ TEST(QuantizedClimb, FindsExactFig1Optimum) {
   o.levels = {0.0, 50.0, 100.0, 110.0};
   const SearchResult r = quantized_climb(oracle, o);
   EXPECT_NEAR(r.best.gap(), 100.0, 1e-6);
+}
+
+/// Gap 0 everywhere: no move ever improves, so a climber spends its
+/// whole budget on one coordinate pass.
+struct ZeroOracle final : heur::GapOracle {
+  [[nodiscard]] int num_leader_vars() const override { return 3; }
+  [[nodiscard]] heur::GapResult evaluate(
+      const std::vector<double>&) const override {
+    count_evaluation();
+    heur::GapResult g;
+    g.status = lp::SolveStatus::Optimal;
+    g.heuristic_feasible = true;
+    return g;
+  }
+};
+
+TEST(QuantizedClimb, StopsExactlyAtEvaluationBudget) {
+  // The baseline evaluation and the random start use 2 of the 4
+  // evaluations; the first coordinate has 3 untried levels, and the
+  // climber must stop after 2 of them rather than finish the coordinate.
+  const ZeroOracle oracle;
+  SearchOptions o = quick_options(30.0);
+  o.levels = {0.0, 1.0, 2.0, 3.0};
+  o.max_evaluations = 4;
+  const SearchResult r = quantized_climb(oracle, o);
+  EXPECT_EQ(r.evaluations, 4);
+  EXPECT_EQ(oracle.evaluations(), 4);
 }
 
 TEST(QuantizedClimb, BeatsRandomOnDpShape) {
@@ -176,7 +204,7 @@ TEST(MaskedOracle, ProjectsAndExpands) {
   std::vector<bool> include(6, false);
   include[1] = true;  // only pair (0,2) adversarial
   MaskedGapOracle masked(base, include);
-  EXPECT_EQ(masked.num_demands(), 1);
+  EXPECT_EQ(masked.num_leader_vars(), 1);
   const std::vector<double> full = masked.expand({50.0});
   ASSERT_EQ(full.size(), 6u);
   EXPECT_DOUBLE_EQ(full[1], 50.0);
@@ -221,15 +249,14 @@ TEST(MaskedOracle, IndexMaskSemanticsAreDomainNeutral) {
 TEST(MaskedOracle, PopBehaviourUnchangedAfterHoist) {
   // Regression for the heur:: hoist: a masked POP oracle must evaluate
   // exactly like the unmasked one on the expanded point (the mask only
-  // renumbers, never rescales). Pre-hoist this lived in te::; the alias
-  // search::MaskedGapOracle must keep compiling too.
+  // renumbers, never rescales). Pre-hoist this lived in te::.
   Fig1Fixture f;
   te::PopConfig pop;
   pop.num_partitions = 2;
   const te::PopGapOracle base(f.topo, f.paths, pop, {1, 2});
   std::vector<bool> include(6, false);
   include[0] = include[2] = true;
-  const MaskedGapOracle masked(base, include);  // search:: alias
+  const MaskedGapOracle masked(base, include);
   const std::vector<double> reduced = {40.0, 70.0};
   const te::GapResult via_mask = masked.evaluate(reduced);
   const te::GapResult direct = base.evaluate(masked.expand(reduced));
