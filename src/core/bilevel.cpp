@@ -1,12 +1,18 @@
 #include "core/bilevel.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
 
 #include "kkt/materialize.h"
 #include "kkt/parametric.h"
 #include "kkt/primal_dual.h"
+#include "obs/obs.h"
 #include "search/search.h"
 
 namespace metaopt::core {
@@ -63,6 +69,34 @@ namespace {
 
 using Vec = BilevelHooks::Vec;
 using Candidate = std::pair<double, Vec>;
+
+const obs::Counter c_assemblies = obs::counter("bilevel.assemblies");
+const obs::Counter c_memo_hits = obs::counter("bilevel.memo_hits");
+
+/// What the primal heuristic remembers about one leader vector.
+/// Assembly is a pure function of the vector, so a repeat needs only
+/// its objective. Once `offered`, the B&B has been handed the candidate
+/// and would reject it again: incumbents only rise and its feasibility
+/// screen is deterministic.
+struct MemoEntry {
+  std::optional<double> objective;  ///< nullopt: assembly failed
+  bool offered = false;
+};
+/// The exact bit patterns of a leader vector's in-support slots.
+using MemoKey = std::vector<std::uint64_t>;
+
+MemoKey memo_key(const BilevelProblem& p, const Vec& x) {
+  MemoKey key;
+  key.reserve(x.size());
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (p.include[k]) {
+      key.push_back(std::bit_cast<std::uint64_t>(x[k]));
+    } else {
+      assert(x[k] == 0.0 && "masked-out leader slot must be zero");
+    }
+  }
+  return key;
+}
 
 /// Leader vector at a model point, clamped to the box (0 when masked).
 Vec leader_values(const BilevelProblem& p, const Vec& values) {
@@ -121,6 +155,7 @@ heur::GapFindResult solve_bilevel(const BilevelProblem& p,
   // Lifts a leader vector into a complete feasible single-shot
   // assignment via direct follower re-solves (kkt/parametric.h).
   auto assemble = [&](Vec x) -> std::optional<Candidate> {
+    c_assemblies.inc();
     Vec assign(p.model.num_vars(), 0.0);
     if (h.lift && !h.lift(x, assign)) return std::nullopt;
     for (std::size_t k = 0; k < p.leader.size(); ++k) {
@@ -137,17 +172,62 @@ heur::GapFindResult solve_bilevel(const BilevelProblem& p,
     return Candidate(p.model.objective_value(assign), std::move(assign));
   };
 
+  // Primal-heuristic memo for this find only; seed trials bypass it (a
+  // seed is pushed only when its objective is > 0, so assembling one
+  // does not make it offered). Worker threads share it.
+  std::mutex memo_mutex;
+  std::map<MemoKey, MemoEntry> memo;
+
   mip::MipCallbacks callbacks;
   if (use_primal_heuristic) {
     callbacks.primal_heuristic =
         [&](const Vec& relax) -> std::optional<Candidate> {
-      const Vec raw = leader_values(p, relax);
-      std::optional<Candidate> best = assemble(raw);
-      if (!h.roundings) return best;
-      for (Vec& v : h.roundings(raw)) {
-        keep_better(best, assemble(std::move(v)));
+      std::vector<Vec> xs{leader_values(p, relax)};
+      if (h.roundings) {
+        for (Vec& v : h.roundings(xs.front())) xs.push_back(std::move(v));
       }
-      return best;
+      // Raw vector first, then the roundings; strictly better wins and
+      // ties keep the earlier. Repeats compete with their memo objective.
+      std::optional<double> best_obj;
+      std::size_t best = 0;
+      MemoKey best_key;
+      std::optional<Candidate> fresh;  // the winner, when assembled here
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        MemoKey key = memo_key(p, xs[i]);
+        bool hit = false;
+        std::optional<double> obj;
+        {
+          const std::lock_guard<std::mutex> lock(memo_mutex);
+          const auto it = memo.find(key);
+          if (it != memo.end()) {
+            hit = true;
+            obj = it->second.objective;
+          }
+        }
+        std::optional<Candidate> cand;
+        if (hit) {
+          c_memo_hits.inc();
+        } else {
+          cand = assemble(xs[i]);
+          if (cand) obj = cand->first;
+          const std::lock_guard<std::mutex> lock(memo_mutex);
+          memo.try_emplace(key, MemoEntry{obj, false});
+        }
+        if (obj && (!best_obj || *obj > *best_obj)) {
+          best_obj = obj;
+          best = i;
+          best_key = std::move(key);
+          fresh = std::move(cand);
+        }
+      }
+      if (!best_obj) return std::nullopt;
+      {
+        const std::lock_guard<std::mutex> lock(memo_mutex);
+        bool& offered = memo.at(best_key).offered;
+        if (offered) return std::nullopt;
+        offered = true;
+      }
+      return fresh ? std::move(fresh) : assemble(xs[best]);
     };
   }
   callbacks.on_incumbent = [&](double obj, double /*bnb_sec*/, const Vec&) {

@@ -14,6 +14,16 @@
 // add_leader/add_follower calls, candidates are tried raw first and then
 // in roundings() order, and a later candidate replaces an earlier one
 // only when strictly better. Changing any of these changes the search.
+//
+// The primal heuristic memoizes assembly per find, keyed by the exact
+// bits of the leader vector's in-support slots before lift. A repeat
+// competes with its remembered objective. If the winner was already
+// offered to the B&B, the heuristic returns nothing (the B&B would
+// reject it again: incumbents only rise and its feasibility screen is
+// deterministic); a winner never offered is assembled again and
+// offered. Seed trials bypass the memo, since a seed is offered only
+// when its objective is positive. So the serial incumbent sequence and
+// node count are those of assembling every candidate afresh.
 #pragma once
 
 #include <functional>

@@ -92,8 +92,8 @@ struct MipCallbacks {
   /// solves); it is still screened by Model::max_violation when
   /// `verify_heuristic` is true. With MipOptions::threads > 1 this is
   /// called concurrently from worker threads — it must be reentrant
-  /// (the metaopt layer's heuristics are: they only read shared const
-  /// state and build local solves).
+  /// (the metaopt layer's is: it builds local solves and shares only a
+  /// mutex-guarded assembly memo).
   std::function<std::optional<std::pair<double, std::vector<double>>>(
       const std::vector<double>&)>
       primal_heuristic;

@@ -129,6 +129,36 @@ TEST(BnbParallel, Fig1DpGapIdenticalAcrossThreads) {
   }
 }
 
+TEST(BnbParallel, Fig1PopGapIdenticalAcrossThreads) {
+  // POP tries three roundings per node, so workers hit the primal
+  // heuristic's shared assembly memo concurrently; the proven answer
+  // must still not depend on the thread count.
+  const net::Topology topo = net::topologies::fig1();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  core::AdversarialGapFinder finder(topo, paths);
+  te::PopConfig pop;
+  pop.num_partitions = 2;
+  core::AdversarialOptions options;
+  options.mip.time_limit_seconds = 60.0;
+  options.seed_search_seconds = 0.0;
+  options.demand_ub = 200.0;
+
+  options.mip.threads = 1;
+  const core::AdversarialResult ref =
+      finder.find_pop_gap(pop, {1, 2, 3}, options);
+  ASSERT_EQ(ref.status, lp::SolveStatus::Optimal);
+  for (const int threads : {2, 4}) {
+    options.mip.threads = threads;
+    const core::AdversarialResult got =
+        finder.find_pop_gap(pop, {1, 2, 3}, options);
+    ASSERT_EQ(got.status, lp::SolveStatus::Optimal) << "threads=" << threads;
+    EXPECT_EQ(got.gap, ref.gap) << "threads=" << threads;
+    EXPECT_EQ(got.opt_value, ref.opt_value) << "threads=" << threads;
+    EXPECT_EQ(got.heur_value, ref.heur_value) << "threads=" << threads;
+    EXPECT_EQ(got.bound, ref.bound) << "threads=" << threads;
+  }
+}
+
 TEST(BnbParallel, NoClampAndBoundedWorkersInsideParallelRegion) {
   // The old contract clamped a B&B inside someone else's parallel
   // region to one thread. With the shared scheduler the request is

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "core/adversarial.h"
+#include "core/bilevel.h"
 #include "core/gap_bound.h"
 #include "core/input_constraints.h"
 #include "search/search.h"
 #include "lp/simplex.h"
 #include "net/topologies.h"
+#include "obs/obs.h"
 #include "te/demand.h"
 #include "te/gap.h"
 #include "util/rng.h"
@@ -160,6 +162,107 @@ TEST(AdversarialPop, KktEncodingMatchesDirectAtScale) {
   const te::GapResult check = oracle.evaluate(r.volumes);
   EXPECT_NEAR(check.opt, r.opt_value, 1e-3);
   EXPECT_NEAR(check.heur, r.heur_value, 1e-3);
+}
+
+// Pinned answers: the primal heuristic's assembly memo must not change
+// the search. Constants were recorded before the memo existed, from
+// runs that assemble every candidate afresh.
+std::vector<double> trace_objectives(const AdversarialResult& r) {
+  std::vector<double> out;
+  for (const auto& [seconds, objective] : r.trace) out.push_back(objective);
+  return out;
+}
+
+double metric(const obs::MetricsSnapshot& s, const std::string& name) {
+  const obs::MetricValue* m = s.find(name);
+  return m != nullptr ? m->value : 0.0;
+}
+
+TEST(AdversarialDp, B4NodeCappedFindMatchesPinnedAnswer) {
+  // The benchmark's dp-b4 find: B4, 20-pair support, 1,500 nodes.
+  const Topology topo = topologies::b4();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  AdversarialGapFinder finder(topo, paths);
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  AdversarialOptions options = quick_options(300.0, 0.0);
+  options.demand_ub = topo.max_capacity();
+  options.mip.max_nodes = 1500;
+  const int stride = paths.num_pairs() / 20;
+  options.pair_mask.assign(paths.num_pairs(), false);
+  for (int k = 0; k < 20; ++k) options.pair_mask[k * stride] = true;
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  const AdversarialResult r = finder.find_dp_gap(dp, options);
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+
+  EXPECT_EQ(r.nodes, 1500);
+  EXPECT_EQ(r.gap, 50.0);
+  EXPECT_EQ(r.bound, 13050.0);
+  EXPECT_EQ(trace_objectives(r), (std::vector<double>{0.0, 50.0}));
+  // Most candidates repeat an earlier leader vector.
+  EXPECT_GT(metric(d, "bilevel.memo_hits"), 0.0);
+  EXPECT_LT(metric(d, "bilevel.assemblies"), metric(d, "bilevel.memo_hits"));
+}
+
+TEST(AdversarialPop, Fig1MeanFindMatchesPinnedAnswer) {
+  const Topology topo = topologies::fig1();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  AdversarialGapFinder finder(topo, paths);
+  te::PopConfig pop;
+  pop.num_partitions = 2;
+  AdversarialOptions options = quick_options(300.0, 0.0);
+  options.demand_ub = 200.0;
+  const AdversarialResult r = finder.find_pop_gap(pop, {1, 2, 3}, options);
+  ASSERT_EQ(r.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(r.nodes, 179);
+  EXPECT_EQ(r.gap, 121.66666666666667);
+  EXPECT_EQ(r.bound, 121.66666666666667);
+  EXPECT_EQ(trace_objectives(r), (std::vector<double>{121.66666666666667}));
+}
+
+TEST(Bilevel, MemoOffersAWinnerThatWasNeverOffered) {
+  // Knapsack 10 (b1 + b2 + b3) + x <= 25, max 13 b1 + 12 b2 + 11 b3 + x.
+  // The root and its b3 = 1 child are fractional with x = 0, so the
+  // primal heuristic runs twice on the same raw vector. Call one also
+  // tries x = 4, which `finish` makes infeasible but scores highest, and
+  // x = 2 (objective 27), which loses there and so is never offered.
+  // Call two tries x = 2 again: a memo hit that must still be offered.
+  BilevelProblem p(Rewrite::Kkt, 10.0);
+  p.add_leader(true, "x");
+  const lp::Var x = p.leader[0];
+  const lp::Var b1 = p.model.add_binary("b1");
+  const lp::Var b2 = p.model.add_binary("b2");
+  const lp::Var b3 = p.model.add_binary("b3");
+  p.model.add_constraint(10.0 * b1 + 10.0 * b2 + 10.0 * b3 +
+                             lp::LinExpr(x) <=
+                         lp::LinExpr(25.0));
+  p.set_gap(13.0 * b1 + 12.0 * b2 + 11.0 * b3 + lp::LinExpr(x),
+            lp::LinExpr(), lp::ObjSense::Maximize);
+
+  BilevelHooks hooks;
+  hooks.lift = [&](BilevelHooks::Vec&, BilevelHooks::Vec& assign) {
+    assign[b1.id] = assign[b2.id] = 1.0;
+    return true;
+  };
+  hooks.finish = [&](BilevelHooks::Vec& assign) {
+    if (assign[x.id] == 4.0) assign[b3.id] = 1.0;
+  };
+  int calls = 0;
+  hooks.roundings = [&](const BilevelHooks::Vec&) {
+    return ++calls == 1 ? std::vector<BilevelHooks::Vec>{{4.0}, {2.0}}
+                        : std::vector<BilevelHooks::Vec>{{2.0}};
+  };
+  mip::MipOptions mip;
+  mip.time_limit_seconds = 60.0;
+  const AdversarialResult r = solve_bilevel(p, hooks, mip, 0.0);
+  ASSERT_EQ(r.status, lp::SolveStatus::Optimal);
+  EXPECT_EQ(r.gap, 30.0);
+  ASSERT_GE(calls, 2);
+  ASSERT_FALSE(r.trace.empty());
+  EXPECT_EQ(r.trace.front().second, 27.0);  // x = 2, offered on call two
 }
 
 TEST(AdversarialDp, ProblemSizesOrdering) {
