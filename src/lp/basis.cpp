@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "obs/obs.h"
@@ -16,6 +17,10 @@ const obs::Counter c_fillin_triggers =
 // Fill-in per factorization, recorded in percent of the basis-matrix
 // nonzeros (100 == no fill at all).
 const obs::Histogram h_fillin_ratio = obs::histogram("simplex.fillin_ratio");
+// Earlier elimination steps visited by the sparse LU, summed over
+// factorizations: the deterministic work of the kernel (a scan of every
+// earlier step would visit m(m-1)/2 per factorization).
+const obs::Counter c_lu_reach = obs::counter("simplex.lu_reach");
 
 }  // namespace
 
@@ -178,16 +183,16 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   // Static row counts of the basis matrix (Markowitz tie-break) and
   // per-position column counts (elimination order: cheapest first).
   row_count_.assign(m, 0);
-  std::vector<int> col_nnz(m, 0);
+  col_nnz_.assign(m, 0);
   for (int p = 0; p < m; ++p) {
     const int j = basic[p];
     if (j < form.num_structs) {
-      col_nnz[p] = form.col_start[j + 1] - form.col_start[j];
+      col_nnz_[p] = form.col_start[j + 1] - form.col_start[j];
       for (int t = form.col_start[j]; t < form.col_start[j + 1]; ++t) {
         ++row_count_[form.col_row[t]];
       }
     } else {
-      col_nnz[p] = 1;
+      col_nnz_[p] = 1;
       const int row = j < form.num_structs + m ? j - form.num_structs
                                                : j - form.num_structs - m;
       ++row_count_[row];
@@ -196,7 +201,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   col_order_.resize(m);
   for (int p = 0; p < m; ++p) col_order_[p] = p;
   std::stable_sort(col_order_.begin(), col_order_.end(),
-                   [&](int a, int b) { return col_nnz[a] < col_nnz[b]; });
+                   [&](int a, int b) { return col_nnz_[a] < col_nnz_[b]; });
 
   pivrow_.assign(m, -1);
   col_of_step_.assign(m, -1);
@@ -209,11 +214,19 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   fwork_.assign(m, 0.0);
   fmark_.assign(m, 0);
   ftouched_.clear();
+  freach_.clear();
+  std::uint64_t reach = 0;
 
+  // A row touched for the first time that is already pivoted puts its
+  // elimination step on the reach heap (a min-heap on the step index).
   const auto touch = [&](int row) {
     if (fmark_[row] == 0) {
       fmark_[row] = 1;
       ftouched_.push_back(row);
+      if (rowpos_[row] >= 0) {
+        freach_.push_back(rowpos_[row]);
+        std::push_heap(freach_.begin(), freach_.end(), std::greater<>());
+      }
     }
   };
   const auto clear_touched = [&] {
@@ -223,12 +236,18 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
     }
     ftouched_.clear();
   };
+  const auto fail = [&] {
+    clear_touched();
+    c_lu_reach.add(reach);
+    return false;
+  };
 
   for (int k = 0; k < m; ++k) {
     const int p = col_order_[k];
     const int j = basic[p];
 
-    // Scatter column p of B into the dense work vector.
+    // Scatter column p of B into the dense work vector; this seeds the
+    // reach heap with the already-pivoted rows the column touches.
     if (j < form.num_structs) {
       for (int t = form.col_start[j]; t < form.col_start[j + 1]; ++t) {
         const int row = form.col_row[t];
@@ -242,24 +261,25 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
       fwork_[row] += 1.0;
     }
 
-    // Left-looking elimination: apply the L columns of every earlier
-    // step whose pivot row carries a nonzero. A pivot row, once read
-    // here, is never modified by later steps (their L columns only hold
-    // still-unpivoted rows), so fwork_[pivrow_[t]] IS u_{t,k} below.
-    for (int t = 0; t < k; ++t) {
+    // Left-looking elimination over the sparse reach: apply the L
+    // columns of the earlier steps whose pivot row carries a nonzero,
+    // in ascending step order (bit-identical to scanning t = 0..k-1; see
+    // basis.h). L column t only holds rows pivoted after t, so its fill
+    // pushes only steps still to come. A pivot row, once read here, is
+    // never modified by later steps, so fwork_[pivrow_[t]] IS u_{t,k}.
+    while (!freach_.empty()) {
+      std::pop_heap(freach_.begin(), freach_.end(), std::greater<>());
+      const int t = freach_.back();
+      freach_.pop_back();
+      ++reach;
       const double u = fwork_[pivrow_[t]];
       if (u == 0.0) continue;
+      ucol_.push_back({t, u});
       for (int e = lstart_[t]; e < lstart_[t + 1]; ++e) {
         const int row = lcol_[e].idx;
         touch(row);
         fwork_[row] -= lcol_[e].val * u;
       }
-    }
-
-    // Gather the U column.
-    for (int t = 0; t < k; ++t) {
-      const double u = fwork_[pivrow_[t]];
-      if (u != 0.0) ucol_.push_back({t, u});
     }
     ustart_.push_back(static_cast<int>(ucol_.size()));
 
@@ -272,10 +292,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
       if (rowpos_[row] >= 0) continue;
       wmax = std::max(wmax, std::abs(fwork_[row]));
     }
-    if (wmax <= pivot_tol) {
-      clear_touched();
-      return false;  // numerically singular
-    }
+    if (wmax <= pivot_tol) return fail();  // numerically singular
     const double accept = std::max(pivot_tol, kMarkowitzThreshold * wmax);
     int best_row = -1;
     int best_cnt = std::numeric_limits<int>::max();
@@ -291,8 +308,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
     if (best_row < 0) {
       // Threshold floor sits above pivot_tol only when wmax does; the
       // max() above guarantees at least the wmax row qualifies.
-      clear_touched();
-      return false;
+      return fail();
     }
     pivrow_[k] = best_row;
     rowpos_[best_row] = k;
@@ -311,6 +327,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   }
 
   lu_nnz_ = static_cast<int>(lcol_.size() + ucol_.size()) + m;
+  c_lu_reach.add(reach);
   return true;
 }
 

@@ -22,6 +22,14 @@
 //    and the pivot row is the fewest-nonzeros row among those within a
 //    threshold factor of the largest candidate magnitude, so fill-in
 //    stays near the network-flow sparsity of the KKT-rewritten models.
+//    Each step visits only its sparse reach: a min-heap of earlier
+//    steps, seeded by the pivoted rows the column touches and grown by
+//    the pivoted rows each applied L column touches first. L column t
+//    only holds rows pivoted after t, so popping ascending applies the
+//    same steps in the same order as a scan of every step t < k would,
+//    and the factors are bit-identical to that scan at a cost in
+//    proportion to the nonzeros rather than m^2. (A depth-first
+//    topological order would reorder the updates and change rounding.)
 //    Basis exchanges append sparse eta vectors (the product-form /
 //    Forrest–Tomlin eta representation: one elementary transform per
 //    pivot, applied after the LU solve in ftran and before it in
@@ -184,7 +192,8 @@ class BasisFactor {
   std::vector<double> fwork_;
   std::vector<int> ftouched_;
   std::vector<signed char> fmark_;
-  std::vector<int> row_count_, col_order_, rowpos_;
+  std::vector<int> row_count_, col_nnz_, col_order_, rowpos_;
+  std::vector<int> freach_;  ///< min-heap of elimination steps to apply
   mutable std::vector<double> zwork_;
 };
 

@@ -728,7 +728,11 @@ Solution TreeSearch::run(int threads) {
       best.best_bound = inc_obj_;
     }
   } else if (stopped_early_) {
-    best.status = SolveStatus::TimeLimit;
+    // Without an incumbent only the budget rules can stop the search:
+    // the node cap reports IterationLimit, everything else TimeLimit.
+    best.status = stop_reason_ == SolveStatus::IterationLimit
+                      ? SolveStatus::IterationLimit
+                      : SolveStatus::TimeLimit;
     best.best_bound =
         open_score <= -lp::kInf ? dir_ * root_score_ : dir_ * open_score;
   } else {

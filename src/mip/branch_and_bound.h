@@ -117,8 +117,9 @@ class BranchAndBound {
   /// Solves `model` (linear objective; binaries and complementarity pairs
   /// enforced). Returns the best incumbent with `best_bound` set to the
   /// proven bound. Status: Optimal (gap closed), Feasible (stopped early
-  /// with an incumbent), Infeasible, Unbounded, or TimeLimit (stopped
-  /// early, no incumbent).
+  /// with an incumbent), Infeasible, Unbounded, IterationLimit (stopped at
+  /// max_nodes, no incumbent) or TimeLimit (any other early stop, no
+  /// incumbent).
   [[nodiscard]] lp::Solution solve(const lp::Model& model,
                                    const MipCallbacks& callbacks = {}) const;
 

@@ -454,12 +454,14 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
         MO_SPAN("sweep.job");
         slot.result = fn(mine[i]);
         // The B&B reports TimeLimit even when it carries a budget-bounded
-        // incumbent; only an *incumbent-less* budget exhaustion is a
-        // timeout — everything with a genuine adversarial input is ok.
+        // incumbent; only an *incumbent-less* budget exhaustion (time or
+        // node cap) is a timeout — everything with a genuine adversarial
+        // input is ok.
         if (slot.result.status == lp::SolveStatus::Error) {
           slot.status = JobStatus::Failed;
           slot.error = "solver error";
-        } else if (slot.result.status == lp::SolveStatus::TimeLimit &&
+        } else if ((slot.result.status == lp::SolveStatus::TimeLimit ||
+                    slot.result.status == lp::SolveStatus::IterationLimit) &&
                    !slot.result.has_solution()) {
           slot.status = JobStatus::Timeout;
         } else {

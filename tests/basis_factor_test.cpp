@@ -2,7 +2,14 @@
 // explicit inverse on the same bases, the product-form eta update, the
 // fill-in-triggered refactorize, and the factored-set cache key staying
 // in sync across warm solves (regression for the PR 4 stale-key class).
+//
+// The differential corpus (SparseReachMatchesDenseInverse) draws its
+// bases from METAOPT_FUZZ_SEED when set, so CI can rotate it; reproduce
+// a red run with METAOPT_FUZZ_SEED=<seed> ./basis_factor_test.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,6 +99,129 @@ void expect_vec_near(const std::vector<double>& got,
   }
 }
 
+std::uint64_t fuzz_seed() {
+  if (const char* env = std::getenv("METAOPT_FUZZ_SEED")) {
+    return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 20261019;
+}
+
+double signed_uniform(util::Rng& rng, double lo, double hi) {
+  const double v = rng.uniform(lo, hi);
+  return rng.bernoulli(0.5) ? v : -v;
+}
+
+/// A square BoundedForm whose structural columns are exactly `cols`
+/// (each a list of (row, value) with distinct rows). Only the fields
+/// BasisFactor reads are filled.
+BoundedForm square_form(
+    const std::vector<std::vector<std::pair<int, double>>>& cols) {
+  BoundedForm form;
+  form.num_structs = static_cast<int>(cols.size());
+  form.num_rows = static_cast<int>(cols.size());
+  form.col_start.push_back(0);
+  for (const auto& col : cols) {
+    for (const auto& [row, val] : col) {
+      form.col_row.push_back(row);
+      form.col_val.push_back(val);
+    }
+    form.col_start.push_back(static_cast<int>(form.col_row.size()));
+  }
+  return form;
+}
+
+/// Random sparse basis: a strong entry per column on a permuted
+/// diagonal plus at most three weak off-diagonal entries. Columns are
+/// diagonally dominant (off-diagonal sum <= 0.9 < 1), so the matrix is
+/// well conditioned but the elimination order and the fill are
+/// arbitrary.
+std::vector<std::vector<std::pair<int, double>>> random_sparse_columns(
+    util::Rng& rng, int m) {
+  std::vector<int> diag(m);
+  for (int i = 0; i < m; ++i) diag[i] = i;
+  rng.shuffle(diag);
+  std::vector<std::vector<std::pair<int, double>>> cols(m);
+  for (int j = 0; j < m; ++j) {
+    std::vector<bool> used(m, false);
+    cols[j].push_back({diag[j], signed_uniform(rng, 1.0, 2.0)});
+    used[diag[j]] = true;
+    const int extra = rng.uniform_int(0, std::min(3, m - 1));
+    for (int e = 0; e < extra; ++e) {
+      const int row = rng.uniform_int(0, m - 1);
+      if (used[row]) continue;
+      used[row] = true;
+      cols[j].push_back({row, signed_uniform(rng, 0.05, 0.3)});
+    }
+  }
+  return cols;
+}
+
+/// Fill-chain basis: a lower band (column j holds rows j..j+w) closed by
+/// a spike column on row 0, the last row and w rows near the top. The
+/// spike has the most nonzeros, so it eliminates last, after the band
+/// has pivoted (mostly row j at step j, L column j holding rows below
+/// j). Eliminating the spike starts from the few steps its rows seed,
+/// and each L column it applies creates fill in rows pivoted at later
+/// steps that the spike never touched: the reach must follow that fill,
+/// in ascending step order, for U and the last pivot to come out right.
+std::vector<std::vector<std::pair<int, double>>> fill_chain_columns(
+    util::Rng& rng, int m, int w) {
+  std::vector<std::vector<std::pair<int, double>>> cols(m);
+  for (int j = 0; j + 1 < m; ++j) {
+    cols[j].push_back({j, signed_uniform(rng, 1.0, 2.0)});
+    for (int r = j + 1; r <= std::min(j + w, m - 1); ++r) {
+      cols[j].push_back({r, signed_uniform(rng, 0.3, 0.9) / w});
+    }
+  }
+  std::vector<bool> used(m, false);
+  auto& spike = cols[m - 1];
+  spike.push_back({0, signed_uniform(rng, 1.0, 2.0)});
+  spike.push_back({m - 1, signed_uniform(rng, 1.0, 2.0)});
+  used[0] = used[m - 1] = true;
+  const int top = std::min(m - 2, w + 3);
+  for (int tries = 0; tries < 20 && static_cast<int>(spike.size()) < w + 2;
+       ++tries) {
+    const int row = rng.uniform_int(1, std::max(1, top));
+    if (used[row]) continue;
+    used[row] = true;
+    spike.push_back({row, signed_uniform(rng, 0.5, 1.0)});
+  }
+  return cols;
+}
+
+/// Agreement to 1e-9 relative to the magnitude (absolute below 1).
+void expect_vec_close(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-9 * std::max(1.0, std::abs(want[i])))
+        << what << " index " << i;
+  }
+}
+
+void expect_solves_match_dense(const BoundedForm& form,
+                               const std::vector<int>& basic, util::Rng& rng) {
+  BasisFactor sparse(FactorKind::SparseLU);
+  BasisFactor dense(FactorKind::DenseInverse);
+  if (!dense.factorize(form, basic, 1e-9)) return;  // singular draw
+  ASSERT_TRUE(sparse.factorize(form, basic, 1e-9));
+  const int m = form.num_rows;
+  for (int rep = 0; rep < 2; ++rep) {
+    std::vector<double> x(m);
+    for (double& v : x) v = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-3.0, 3.0);
+    std::vector<double> xs = x, xd = x;
+    sparse.ftran(xs);
+    dense.ftran(xd);
+    expect_vec_close(xs, xd, "ftran");
+    for (double& v : x) v = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-3.0, 3.0);
+    std::vector<double> ys = x, yd = x;
+    sparse.btran(ys);
+    dense.btran(yd);
+    expect_vec_close(ys, yd, "btran");
+  }
+}
+
 TEST(BasisFactor, SparseAndDenseSolveIdentically) {
   util::Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
@@ -122,6 +252,87 @@ TEST(BasisFactor, SparseAndDenseSolveIdentically) {
     dense.btran(yd);
     expect_vec_near(ys, yd, 1e-8, "btran");
   }
+}
+
+TEST(BasisFactor, SparseReachMatchesDenseInverse) {
+  const std::uint64_t seed = fuzz_seed();
+  SCOPED_TRACE("METAOPT_FUZZ_SEED=" + std::to_string(seed));
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool chain = trial % 2 == 1;
+    const int m = rng.uniform_int(3, chain ? 40 : 60);
+    const BoundedForm form =
+        square_form(chain ? fill_chain_columns(rng, m, rng.uniform_int(1, 3))
+                          : random_sparse_columns(rng, m));
+    std::vector<int> basic(m);
+    for (int p = 0; p < m; ++p) basic[p] = p;
+    // Random bases also swap some columns for the logical of their
+    // strong row (keeping the dominant diagonal) and shuffle the
+    // positions; the chain keeps its band-first elimination order.
+    if (!chain) {
+      for (int p = 0; p < m; ++p) {
+        const int strong_row = form.col_row[form.col_start[p]];
+        if (rng.bernoulli(0.2)) basic[p] = form.logical_col(strong_row);
+      }
+      rng.shuffle(basic);
+    }
+    expect_solves_match_dense(form, basic, rng);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(BasisFactor, ReusedFactorMatchesAFreshOne) {
+  // One BasisFactor refactorized over bases of different sizes must not
+  // leak scratch state (reach heap, column counts) between calls.
+  util::Rng rng(fuzz_seed() + 1);
+  BasisFactor reused(FactorKind::SparseLU);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int m = rng.uniform_int(2, 30);
+    const BoundedForm form = square_form(
+        trial % 2 == 0 ? random_sparse_columns(rng, m)
+                       : fill_chain_columns(rng, m, rng.uniform_int(1, 3)));
+    std::vector<int> basic(m);
+    for (int p = 0; p < m; ++p) basic[p] = p;
+    BasisFactor fresh(FactorKind::SparseLU);
+    const bool ok = fresh.factorize(form, basic, 1e-9);
+    ASSERT_EQ(reused.factorize(form, basic, 1e-9), ok);
+    if (!ok) continue;
+    std::vector<double> x(m);
+    for (double& v : x) v = rng.uniform(-3.0, 3.0);
+    std::vector<double> xr = x, xf = x;
+    reused.ftran(xr);
+    fresh.ftran(xf);
+    EXPECT_EQ(xr, xf);  // bit-identical
+  }
+}
+
+TEST(BasisFactor, LuReachCountsOnlyTheStepsTheFillReaches) {
+  // A bidiagonal chain closed by a spike on its first and last rows:
+  // the band steps reach nothing, the spike reaches every band step
+  // through fill alone. A scan of every earlier step would visit
+  // m(m-1)/2 of them here; the reach visits m-1.
+  util::Rng rng(5);
+  const int m = 30;
+  std::vector<std::vector<std::pair<int, double>>> cols(m);
+  for (int j = 0; j + 1 < m; ++j) {
+    cols[j] = {{j, signed_uniform(rng, 1.0, 2.0)},
+               {j + 1, signed_uniform(rng, 0.3, 0.9)}};
+  }
+  cols[m - 1] = {{0, 1.5}, {m - 1, -1.25}};
+  const BoundedForm form = square_form(cols);
+  std::vector<int> basic(m);
+  for (int p = 0; p < m; ++p) basic[p] = p;
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  BasisFactor factor(FactorKind::SparseLU);
+  ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+  EXPECT_EQ(metric(d, "simplex.lu_reach"), m - 1);
+  expect_solves_match_dense(form, basic, rng);
 }
 
 TEST(BasisFactor, EtaUpdatesTrackDenseInverse) {

@@ -190,6 +190,25 @@ TEST(BranchAndBound, TimeLimitReturnsBestEffort) {
               sol.status == SolveStatus::Optimal);
 }
 
+TEST(BranchAndBound, NodeCapWithoutIncumbentReportsIterationLimit) {
+  // max a+b+c s.t. 2a+2b+2c <= 3: the root relaxation is fractional
+  // (objective 1.5) and no heuristic supplies an incumbent, so a one-node
+  // cap stops the search with nothing but the root bound.
+  Model m;
+  Var a = m.add_binary("a");
+  Var b = m.add_binary("b");
+  Var c = m.add_binary("c");
+  m.add_constraint(2.0 * a + 2.0 * b + 2.0 * c <= LinExpr(3.0));
+  m.set_objective(ObjSense::Maximize, LinExpr(a) + LinExpr(b) + LinExpr(c));
+  MipOptions opt;
+  opt.max_nodes = 1;
+  const auto sol = BranchAndBound(opt).solve(m);
+  EXPECT_EQ(sol.status, SolveStatus::IterationLimit);
+  EXPECT_TRUE(sol.values.empty());
+  EXPECT_EQ(sol.iterations, 1);
+  EXPECT_NEAR(sol.best_bound, 1.5, 1e-7);
+}
+
 class RandomKnapsackTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomKnapsackTest, MatchesExhaustive) {

@@ -378,30 +378,36 @@ TEST(SweepRunnerTest, ThrowingJobIsIsolatedAsFailed) {
   }
 }
 
-TEST(SweepRunnerTest, TimeLimitStatusMapsToTimeout) {
-  const std::vector<JobSpec> jobs = expand_spec(small_spec());
-  SweepOptions options;
-  options.threads = 2;
-  options.log_progress = false;
-  const SweepReport report =
-      SweepRunner(options).run_jobs(jobs, [](const JobSpec& job) {
-        heur::GapFindResult r = fake_solve(job);
-        if (job.id == 0) {
-          // Budget exhausted with no incumbent at all -> timeout.
-          r.status = lp::SolveStatus::TimeLimit;
-          r.volumes.clear();
-        }
-        if (job.id == 1) {
-          // Budget-bounded but carrying a genuine incumbent -> ok.
-          r.status = lp::SolveStatus::TimeLimit;
-        }
-        return r;
-      });
-  EXPECT_EQ(report.num_timeout, 1);
-  EXPECT_EQ(report.jobs[0].status, JobStatus::Timeout);
-  EXPECT_EQ(report.jobs[1].status, JobStatus::Ok);
-  EXPECT_NE(to_json(report.jobs[0]).find("\"status\":\"timeout\""),
-            std::string::npos);
+TEST(SweepRunnerTest, BudgetStopStatusMapsToTimeout) {
+  // Both budget stops, the time limit and the B&B node cap, count as a
+  // timeout only when they carry no incumbent.
+  for (const lp::SolveStatus stop :
+       {lp::SolveStatus::TimeLimit, lp::SolveStatus::IterationLimit}) {
+    SCOPED_TRACE(lp::to_string(stop));
+    const std::vector<JobSpec> jobs = expand_spec(small_spec());
+    SweepOptions options;
+    options.threads = 2;
+    options.log_progress = false;
+    const SweepReport report =
+        SweepRunner(options).run_jobs(jobs, [stop](const JobSpec& job) {
+          heur::GapFindResult r = fake_solve(job);
+          if (job.id == 0) {
+            // Budget exhausted with no incumbent at all -> timeout.
+            r.status = stop;
+            r.volumes.clear();
+          }
+          if (job.id == 1) {
+            // Budget-bounded but carrying a genuine incumbent -> ok.
+            r.status = stop;
+          }
+          return r;
+        });
+    EXPECT_EQ(report.num_timeout, 1);
+    EXPECT_EQ(report.jobs[0].status, JobStatus::Timeout);
+    EXPECT_EQ(report.jobs[1].status, JobStatus::Ok);
+    EXPECT_NE(to_json(report.jobs[0]).find("\"status\":\"timeout\""),
+              std::string::npos);
+  }
 }
 
 TEST(SweepRunnerTest, ProgressCallbackSeesEveryJob) {
