@@ -1,11 +1,22 @@
 #include "te/max_flow.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "kkt/materialize.h"
+#include "obs/obs.h"
 
 namespace metaopt::te {
+
+namespace {
+
+const obs::Counter c_flow_solves = obs::counter("te.flow_solves");
+// Included pairs with paths that solve_max_flow left out of its LP
+// because their volume is exactly zero.
+const obs::Counter c_pairs_skipped = obs::counter("te.flow_pairs_skipped");
+
+}  // namespace
 
 FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
                             const PathSet& paths,
@@ -76,12 +87,31 @@ FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
 MaxFlowResult solve_max_flow(const net::Topology& topo, const PathSet& paths,
                              const std::vector<double>& volumes,
                              const MaxFlowOptions& options) {
+  if (volumes.size() != static_cast<std::size_t>(paths.num_pairs())) {
+    throw std::invalid_argument("solve_max_flow: volume size mismatch");
+  }
+  c_flow_solves.inc();
+  // Zero-volume pairs leave the LP (see the header); `active` is the
+  // caller's mask narrowed to the pairs that carry volume.
+  std::vector<bool> active(volumes.size());
+  std::vector<bool> zero(volumes.size(), false);
+  std::uint64_t skipped = 0;
+  for (std::size_t k = 0; k < volumes.size(); ++k) {
+    const bool included = !options.include || (*options.include)[k];
+    zero[k] = included && volumes[k] == 0.0;
+    active[k] = included && !zero[k];
+    if (zero[k] && !paths.paths(static_cast<int>(k)).empty()) ++skipped;
+  }
+  c_pairs_skipped.add(skipped);
+  MaxFlowOptions reduced = options;
+  reduced.include = &active;
+
   lp::Model model;
   std::vector<lp::LinExpr> demand;
   demand.reserve(volumes.size());
   for (double v : volumes) demand.emplace_back(v);
   const FlowEncoding enc =
-      build_max_flow(model, topo, paths, demand, "mf.", options);
+      build_max_flow(model, topo, paths, demand, "mf.", reduced);
   kkt::materialize(model, enc.inner);
 
   MaxFlowResult result;
@@ -94,6 +124,10 @@ MaxFlowResult solve_max_flow(const net::Topology& topo, const PathSet& paths,
   result.total_flow = sol.objective;
   result.path_flow.resize(enc.path_flow.size());
   for (std::size_t k = 0; k < enc.path_flow.size(); ++k) {
+    if (zero[k]) {
+      result.path_flow[k].assign(paths.paths(static_cast<int>(k)).size(), 0.0);
+      continue;
+    }
     for (const lp::Var f : enc.path_flow[k]) {
       result.path_flow[k].push_back(sol.values[f.id]);
     }

@@ -15,6 +15,22 @@
 // constraint it appears in), and bound-row multipliers <= max path hops
 // + 1 by stationarity. These bounds keep the branch-and-bound relaxation
 // tight; they are configurable for paranoia sweeps.
+//
+// Direct solves (solve_max_flow) leave out every pair whose volume is
+// exactly 0.0: it gets no flow variables and no volume row, and an edge
+// gets a capacity row only if a remaining pair routes over it. This is
+// exact. Primal: the pair's own volume row forces its flows to 0, so the
+// reduced optimum extended by zero flows is feasible for the full LP with
+// the same objective. Dual: setting the pair's volume-row multiplier to 1
+// covers each of its path columns (unit objective, nonnegative capacity
+// multipliers) and adds 0 * 1 to the dual objective. So both LPs have the
+// same optimal value, and a certificate of the reduced LP extends to the
+// full one. The reduced tableau takes a different pivot path, though: the
+// total can differ from the full LP's in its last bits (up to ~1e-11
+// absolute, ~1e-15 relative, on B4 and Abilene), and where OPT has
+// alternative optima the returned path flows may be another optimal
+// routing. build_max_flow, which the
+// single-shot encodings use, keeps every included pair.
 #pragma once
 
 #include <string>
@@ -73,7 +89,8 @@ FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
 struct MaxFlowResult {
   lp::SolveStatus status = lp::SolveStatus::Error;
   double total_flow = 0.0;
-  /// flow[k][p] aligned with the path set (empty for masked pairs).
+  /// flow[k][p] aligned with the path set (empty for masked pairs; all
+  /// zeros for zero-volume pairs).
   std::vector<std::vector<double>> path_flow;
   /// True when the solve ran with certification and passed.
   bool certified = false;
@@ -83,7 +100,10 @@ struct MaxFlowResult {
 std::vector<double> edge_loads(const net::Topology& topo, const PathSet& paths,
                                const std::vector<std::vector<double>>& flow);
 
-/// Solves OptMaxFlow directly for concrete demand volumes.
+/// Solves OptMaxFlow directly for concrete demand volumes, over only the
+/// included pairs with nonzero volume (see the top of this header). A
+/// negative volume stays in the LP and makes it infeasible. Throws
+/// std::invalid_argument when volumes.size() != paths.num_pairs().
 MaxFlowResult solve_max_flow(const net::Topology& topo, const PathSet& paths,
                              const std::vector<double>& volumes,
                              const MaxFlowOptions& options = {});

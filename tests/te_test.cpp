@@ -2,12 +2,18 @@
 // procedural solvers, convex encodings, and their equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 
+#include "domains/te_instances.h"
 #include "kkt/kkt_rewriter.h"
 #include "kkt/materialize.h"
 #include "mip/branch_and_bound.h"
 #include "net/topologies.h"
+#include "obs/obs.h"
 #include "te/demand.h"
 #include "te/demand_pinning.h"
 #include "te/gap.h"
@@ -376,6 +382,243 @@ TEST(Pop, MorePartitionsNeverHelp) {
     EXPECT_LE(mean, prev + 1e-6) << "partitions=" << c;
     prev = mean;
   }
+}
+
+// ---------------------------------------------------------------------
+// Zero-volume pairs in direct solves
+// ---------------------------------------------------------------------
+//
+// solve_max_flow leaves zero-volume pairs out of its LP. The reference
+// here is the full LP over every included pair, built with
+// build_max_flow like the single-shot encodings. The corpus seed comes
+// from METAOPT_FUZZ_SEED when set (the fuzz CI job rotates it);
+// reproduce a red run with METAOPT_FUZZ_SEED=<seed> ./te_test.
+
+std::uint64_t fuzz_seed() {
+  if (const char* env = std::getenv("METAOPT_FUZZ_SEED")) {
+    return static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 20261020;
+}
+
+double metric(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m ? m->value : 0.0;
+}
+
+/// 1e-9 relative to `scale`, absolute below 1.
+double tol(double scale) { return 1e-9 * std::max(1.0, std::abs(scale)); }
+
+lp::Solution solve_full_lp(const Topology& topo, const PathSet& paths,
+                           const std::vector<double>& volumes,
+                           const MaxFlowOptions& options) {
+  lp::Model model;
+  std::vector<lp::LinExpr> demand;
+  for (double v : volumes) demand.emplace_back(v);
+  const FlowEncoding enc =
+      build_max_flow(model, topo, paths, demand, "ref.", options);
+  kkt::materialize(model, enc.inner);
+  return lp::SimplexSolver().solve(model);
+}
+
+/// Masked pairs return empty entries, zero-volume pairs exact zeros, and
+/// the flows satisfy every volume and capacity row and sum to the total.
+void expect_flows_feasible(const Topology& topo, const PathSet& paths,
+                           const std::vector<double>& volumes,
+                           const MaxFlowOptions& options,
+                           const MaxFlowResult& got) {
+  ASSERT_EQ(got.path_flow.size(), volumes.size());
+  double total = 0.0;
+  for (int k = 0; k < paths.num_pairs(); ++k) {
+    const std::vector<double>& flow = got.path_flow[k];
+    if (options.include && !(*options.include)[k]) {
+      EXPECT_TRUE(flow.empty()) << "masked pair " << k;
+      continue;
+    }
+    ASSERT_EQ(flow.size(), paths.paths(k).size()) << "pair " << k;
+    double carried = 0.0;
+    for (double f : flow) {
+      if (volumes[k] == 0.0) {
+        EXPECT_EQ(f, 0.0) << "zero-volume pair " << k;
+      }
+      EXPECT_GE(f, -tol(volumes[k])) << "pair " << k;
+      carried += f;
+    }
+    EXPECT_LE(carried, volumes[k] + tol(volumes[k])) << "pair " << k;
+    total += carried;
+  }
+  EXPECT_NEAR(total, got.total_flow, tol(got.total_flow));
+  const std::vector<double> load = edge_loads(topo, paths, got.path_flow);
+  for (int e = 0; e < topo.num_edges(); ++e) {
+    const double cap = topo.edge(e).capacity * options.capacity_scale;
+    EXPECT_LE(load[e], cap + tol(cap)) << "edge " << e;
+  }
+}
+
+/// solve_max_flow against the full LP on one input.
+void expect_matches_full_lp(const Topology& topo, const PathSet& paths,
+                            const std::vector<double>& volumes,
+                            const MaxFlowOptions& options = {}) {
+  const MaxFlowResult got = solve_max_flow(topo, paths, volumes, options);
+  const lp::Solution want = solve_full_lp(topo, paths, volumes, options);
+  ASSERT_EQ(got.status, want.status);
+  if (want.status != lp::SolveStatus::Optimal) return;
+  EXPECT_NEAR(got.total_flow, want.objective, tol(want.objective));
+  expect_flows_feasible(topo, paths, volumes, options, got);
+}
+
+/// A volume vector on `support` (empty = every pair) with a quarter of
+/// the supported pairs at exactly zero; pairs off the support are zero.
+std::vector<double> draw_volumes(util::Rng& rng, const Topology& topo,
+                                 int num_pairs,
+                                 const std::vector<bool>& support) {
+  std::vector<double> volumes(num_pairs, 0.0);
+  for (int k = 0; k < num_pairs; ++k) {
+    if (!support.empty() && !support[k]) continue;
+    if (!rng.bernoulli(0.25)) {
+      volumes[k] = rng.uniform(0.0, topo.max_capacity());
+    }
+  }
+  return volumes;
+}
+
+TEST(MaxFlow, ZeroVolumePairsLeaveTheLp) {
+  const std::uint64_t seed = fuzz_seed();
+  SCOPED_TRACE("METAOPT_FUZZ_SEED=" + std::to_string(seed));
+  util::Rng rng(seed);
+  constexpr int kDraws = 100;
+
+  const Topology b4 = topologies::b4();
+  const Topology abilene = topologies::abilene();
+  const PathSet b4_paths = make_paths(b4, 2);
+  const PathSet abilene_paths = make_paths(abilene, 2);
+  struct Shape {
+    const char* name;
+    const Topology& topo;
+    const PathSet& paths;
+    std::vector<bool> support;
+  };
+  const Shape shapes[] = {
+      {"b4, 20-pair support", b4, b4_paths,
+       domains::make_support_mask(b4_paths.num_pairs(), 20)},
+      {"b4, full support", b4, b4_paths, {}},
+      {"abilene, full support", abilene, abilene_paths, {}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (int draw = 0; draw < kDraws; ++draw) {
+      SCOPED_TRACE("draw " + std::to_string(draw));
+      const std::vector<double> volumes = draw_volumes(
+          rng, shape.topo, shape.paths.num_pairs(), shape.support);
+      expect_matches_full_lp(shape.topo, shape.paths, volumes);
+      // Every other draw also masks out about a third of the pairs.
+      if (draw % 2 == 1) {
+        std::vector<bool> include(volumes.size());
+        for (std::size_t k = 0; k < include.size(); ++k) {
+          include[k] = !rng.bernoulli(0.3);
+        }
+        expect_matches_full_lp(shape.topo, shape.paths, volumes,
+                               MaxFlowOptions{.include = &include});
+      }
+    }
+  }
+
+  // POP partitions: each partition is a masked, scaled direct solve.
+  for (int draw = 0; draw < kDraws; ++draw) {
+    SCOPED_TRACE("pop draw " + std::to_string(draw));
+    const std::vector<double> volumes =
+        draw_volumes(rng, b4, b4_paths.num_pairs(), {});
+    PopConfig config;
+    config.num_partitions = 2 + draw % 3;
+    config.seed = seed + static_cast<std::uint64_t>(draw);
+    const PopResult pop = solve_pop(b4, b4_paths, volumes, config);
+    ASSERT_EQ(pop.status, lp::SolveStatus::Optimal);
+    util::Rng part_rng(config.seed);
+    const std::vector<int> assignment =
+        random_partition(b4_paths.num_pairs(), config.num_partitions, part_rng);
+    double total = 0.0;
+    for (int part = 0; part < config.num_partitions; ++part) {
+      std::vector<bool> include(assignment.size());
+      for (std::size_t k = 0; k < include.size(); ++k) {
+        include[k] = assignment[k] == part;
+      }
+      const lp::Solution full = solve_full_lp(
+          b4, b4_paths, volumes,
+          MaxFlowOptions{.capacity_scale = 1.0 / config.num_partitions,
+                         .include = &include});
+      ASSERT_EQ(full.status, lp::SolveStatus::Optimal);
+      EXPECT_NEAR(pop.per_partition_flow[part], full.objective,
+                  tol(full.objective));
+      total += full.objective;
+    }
+    EXPECT_NEAR(pop.total_flow, total, tol(total));
+  }
+
+  // Edge inputs.
+  const Topology fig1 = topologies::fig1();
+  const PathSet fig1_paths = make_paths(fig1, 2);
+  {
+    SCOPED_TRACE("all zero: an empty LP");
+    const std::vector<double> zeros(b4_paths.num_pairs(), 0.0);
+    const MaxFlowResult got = solve_max_flow(b4, b4_paths, zeros);
+    ASSERT_EQ(got.status, lp::SolveStatus::Optimal);
+    EXPECT_EQ(got.total_flow, 0.0);
+    expect_flows_feasible(b4, b4_paths, zeros, {}, got);
+    expect_matches_full_lp(b4, b4_paths, zeros);
+  }
+  std::vector<double> volumes = fig1_volumes(fig1_paths);
+  int victim = 0;  // Fig. 1's 1->3 demand of 50
+  while (fig1_paths.pair(victim) != std::pair<net::NodeId, net::NodeId>{0, 2}) {
+    ++victim;
+  }
+  {
+    SCOPED_TRACE("-0.0 is an exact zero");
+    volumes[victim] = -0.0;
+    expect_matches_full_lp(fig1, fig1_paths, volumes);
+  }
+  {
+    SCOPED_TRACE("a zero-volume pair that is also masked out");
+    std::vector<bool> include(volumes.size(), true);
+    include[victim] = false;
+    expect_matches_full_lp(fig1, fig1_paths, volumes,
+                           MaxFlowOptions{.include = &include});
+  }
+  {
+    SCOPED_TRACE("a negative volume stays in the LP");
+    volumes[victim] = -5.0;
+    EXPECT_EQ(solve_max_flow(fig1, fig1_paths, volumes).status,
+              lp::SolveStatus::Infeasible);
+    expect_matches_full_lp(fig1, fig1_paths, volumes);
+  }
+}
+
+TEST(MaxFlow, CountsSkippedZeroVolumePairs) {
+  const Topology topo = topologies::fig1();
+  const PathSet paths = make_paths(topo, 2);
+  std::vector<int> routable;  // pairs with paths; the others have no LP
+  for (int k = 0; k < paths.num_pairs(); ++k) {
+    if (!paths.paths(k).empty()) routable.push_back(k);
+  }
+  obs::set_enabled(true);
+  for (std::size_t zeros = 0; zeros <= routable.size(); ++zeros) {
+    std::vector<double> volumes(paths.num_pairs(), 40.0);
+    for (std::size_t i = 0; i < zeros; ++i) volumes[routable[i]] = 0.0;
+    const obs::MetricsSnapshot before = obs::snapshot();
+    ASSERT_EQ(solve_max_flow(topo, paths, volumes).status,
+              lp::SolveStatus::Optimal);
+    const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+    EXPECT_EQ(metric(d, "te.flow_solves"), 1.0);
+    EXPECT_EQ(metric(d, "te.flow_pairs_skipped"), zeros);
+  }
+  // A masked-out pair is not a skipped one, whatever its volume.
+  std::vector<double> volumes(paths.num_pairs(), 0.0);
+  std::vector<bool> include(paths.num_pairs(), false);
+  include[routable[0]] = true;
+  const obs::MetricsSnapshot before = obs::snapshot();
+  solve_max_flow(topo, paths, volumes, MaxFlowOptions{.include = &include});
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+  EXPECT_EQ(metric(d, "te.flow_pairs_skipped"), 1.0);
 }
 
 // ---------------------------------------------------------------------

@@ -103,6 +103,7 @@
 #include "core/adversarial.h"
 #include "core/gap_bound.h"
 #include "domains/domains.h"
+#include "domains/te_instances.h"
 #include "explain/cluster.h"
 #include "explain/core_minimizer.h"
 #include "explain/explain.h"
@@ -111,8 +112,6 @@
 #include "runner/jsonl_io.h"
 #include "runner/sweep_runner.h"
 #include "net/paths.h"
-#include "net/topologies.h"
-#include "net/topology_io.h"
 #include "search/search.h"
 #include "te/demand.h"
 #include "te/gap.h"
@@ -171,27 +170,6 @@ lp::Pricing parse_pricing(const Args& args) {
   return lp::Pricing::Partial;
 }
 
-net::Topology load_topology(const std::string& spec) {
-  if (spec == "b4") return net::topologies::b4();
-  if (spec == "abilene") return net::topologies::abilene();
-  if (spec == "swan") return net::topologies::swan();
-  if (spec == "fig1") return net::topologies::fig1();
-  return net::read_topology_file(spec);
-}
-
-std::vector<bool> make_mask(const te::PathSet& paths, int target) {
-  std::vector<bool> mask;
-  if (target <= 0 || target >= paths.num_pairs()) return mask;
-  mask.assign(paths.num_pairs(), false);
-  const int stride = std::max(1, paths.num_pairs() / target);
-  int enabled = 0;
-  for (int k = 0; k < paths.num_pairs() && enabled < target; k += stride) {
-    mask[k] = true;
-    ++enabled;
-  }
-  return mask;
-}
-
 void maybe_csv(const Args& args, const std::string& kind,
                const std::string& heuristic, double gap, double norm_gap,
                double seconds) {
@@ -202,7 +180,7 @@ void maybe_csv(const Args& args, const std::string& kind,
 }
 
 int cmd_topo(const Args& args) {
-  const net::Topology topo = load_topology(
+  const net::Topology topo = domains::load_topology(
       args.positional.size() > 1 ? args.positional[1] : args.get("topology", "b4"));
   std::printf("name:             %s\n", topo.name().c_str());
   std::printf("nodes:            %d\n", topo.num_nodes());
@@ -307,7 +285,7 @@ int cmd_bound(const Args& args) {
     return 2;
   }
   const std::string heuristic = args.positional[1];
-  const net::Topology topo = load_topology(args.get("topology", "b4"));
+  const net::Topology topo = domains::load_topology(args.get("topology", "b4"));
   const te::PathSet paths(topo, te::all_pairs(topo),
                           static_cast<int>(args.get_num("paths", 2)));
   core::GapBounder bounder(topo, paths);
@@ -322,7 +300,8 @@ int cmd_bound(const Args& args) {
   }
   options.demand_ub = args.get_num("demand-ub", 0.0);
   options.pair_mask =
-      make_mask(paths, static_cast<int>(args.get_num("pairs", 0)));
+      domains::make_support_mask(paths.num_pairs(),
+                                 static_cast<int>(args.get_num("pairs", 0)));
 
   core::GapBoundResult result;
   if (heuristic == "dp") {
@@ -369,7 +348,16 @@ int cmd_search(const Args& args) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  const std::unique_ptr<heur::GapOracle> oracle = instance->make_oracle();
+  const std::unique_ptr<heur::GapOracle> base = instance->make_oracle();
+  // Climb only the support (--pairs), as the find's seed search does;
+  // pairs outside it stay at zero volume.
+  std::vector<bool> support(base->num_leader_vars(), true);
+  if (const auto* te =
+          dynamic_cast<const domains::TeInstanceBase*>(instance.get());
+      te != nullptr && !te->pair_mask().empty()) {
+    support = te->pair_mask();
+  }
+  const heur::MaskedGapOracle oracle(*base, support);
 
   search::SearchOptions options;
   options.time_limit_seconds = args.get_num("budget", 30.0);
@@ -378,15 +366,17 @@ int cmd_search(const Args& args) {
   options.levels = instance->quantize_levels();
 
   search::SearchResult r;
-  if (method == "hill") r = search::hill_climb(*oracle, options);
-  else if (method == "anneal") r = search::simulated_annealing(*oracle, options);
-  else if (method == "random") r = search::random_search(*oracle, options);
-  else if (method == "quant") r = search::quantized_climb(*oracle, options);
+  if (method == "hill") r = search::hill_climb(oracle, options);
+  else if (method == "anneal") r = search::simulated_annealing(oracle, options);
+  else if (method == "random") r = search::random_search(oracle, options);
+  else if (method == "quant") r = search::quantized_climb(oracle, options);
   else {
     std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
     return 2;
   }
   const double normalizer = instance->gap_normalizer();
+  std::printf("leader vars: %d of %d\n", oracle.num_leader_vars(),
+              base->num_leader_vars());
   std::printf("best gap:    %.3f (%.2f%% normalized)\n", r.best.gap(),
               100.0 * r.best.gap() / normalizer);
   std::printf("evaluations: %ld in %.1fs (%ld restarts)\n", r.evaluations,
